@@ -18,8 +18,10 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/bitmask.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "mem/memory_model.hh"
@@ -47,18 +49,22 @@ class MataColumnFetcher final : public hw::Clocked
                         *port_queues,
                     Bytes rowptr_bytes);
 
-    /** True when stream entry `pos` has arrived on chip. */
-    bool
-    arrivedAt(std::uint64_t pos) const
-    {
-        return arrived_[pos];
-    }
+    /**
+     * Ports whose head element (the oldest unretired one) has arrived
+     * on chip. Set when a read lands on a port's head, recomputed when
+     * the head retires; a port whose queue has ended is never set.
+     */
+    const Bitmask &headArrived() const { return head_arrived_; }
 
     /** Called by the multiplier when a port's head element retires. */
     void
     noteConsumed(unsigned port)
     {
-        ++retired_[port];
+        const std::size_t head = ++retired_[port];
+        const auto &queue = (*port_queues_)[port];
+        head_arrived_.set(port,
+                          head < queue.size() && arrived_[queue[head]]);
+        refreshIssuable(port);
     }
 
     void clockUpdate() override;
@@ -77,21 +83,45 @@ class MataColumnFetcher final : public hw::Clocked
     const std::vector<std::vector<std::uint64_t>> *port_queues_ =
         nullptr;
 
+    /** A port may issue while its queue has entries left and its
+     *  in-flight window has room. */
+    void
+    refreshIssuable(unsigned port)
+    {
+        issuable_.set(port,
+                      issued_[port] < (*port_queues_)[port].size() &&
+                          issued_[port] - retired_[port] <
+                              config_->aElementWindow);
+    }
+
+    /** DCHECK builds: every mask bit matches the state it caches. */
+    void checkMasks() const;
+
     std::vector<bool> arrived_;
     std::vector<std::size_t> issued_;  //!< per-port issue cursor
     std::vector<std::size_t> retired_; //!< per-port retire count
     unsigned rr_port_ = 0;
 
-    /** Stream positions left to issue across all ports. Once zero the
-     *  per-cycle port scan is pure overhead and skipped (the
-     *  round-robin pointer still rotates, matching hardware). */
-    std::uint64_t queued_total_ = 0;
-    std::uint64_t issued_total_ = 0;
+    /** Ports that may issue this cycle (see refreshIssuable). */
+    Bitmask issuable_;
+    /** Ports whose head element has arrived (see headArrived). */
+    Bitmask head_arrived_;
 
     /** In-flight reads, a min-heap ordered by completion time. The
      *  heap lives in a member vector so its storage is reused across
      *  rounds instead of reallocated. */
-    using Flight = std::pair<Cycle, std::uint64_t>;
+    struct Flight
+    {
+        Cycle ready;
+        std::uint64_t pos;
+        unsigned port; //!< carried so landing never touches tasks_
+
+        bool
+        operator>(const Flight &other) const
+        {
+            return std::tie(ready, pos) > std::tie(other.ready, other.pos);
+        }
+    };
     std::vector<Flight> inflight_;
 
     std::uint64_t elements_fetched_ = 0;

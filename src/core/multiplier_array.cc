@@ -1,5 +1,7 @@
 #include "core/multiplier_array.hh"
 
+#include <algorithm>
+
 #include "common/annotations.hh"
 #include "common/logging.hh"
 #include "core/mata_column_fetcher.hh"
@@ -41,6 +43,11 @@ MultiplierArray::startRound(const std::vector<MultTask> *tasks,
     product_cursor_.assign(port_queues_->size(), 0);
     rr_port_ = 0;
     remaining_ = 0;
+    settled_.assign(port_queues_->size());
+    waiting_.assign(port_queues_->size());
+    wake_at_.assign(port_queues_->size(), 0);
+    next_wake_ = RowPrefetcher::kUnknownCycle;
+    checked_evictions_ = prefetcher_->evictions();
     for (const auto &q : *port_queues_)
         remaining_ += q.size();
 
@@ -60,6 +67,66 @@ MultiplierArray::done() const
     return remaining_ == 0;
 }
 
+void
+MultiplierArray::parkWaiting(unsigned port, std::uint64_t pos)
+{
+    const Cycle wake = prefetcher_->quietReadyCycle(pos);
+    if (wake == RowPrefetcher::kUnknownCycle)
+        return;
+    waiting_.set(port);
+    wake_at_[port] = wake;
+    next_wake_ = std::min(next_wake_, wake);
+}
+
+void
+MultiplierArray::recheck()
+{
+    const std::uint64_t evictions = prefetcher_->evictions();
+    const bool evicted = evictions != checked_evictions_;
+    checked_evictions_ = evictions;
+    const Cycle now = prefetcher_->now();
+    const auto head = [this](std::size_t p) {
+        return (*port_queues_)[p][port_cursor_[p]];
+    };
+    if (evicted) {
+        settled_.forEach([&](std::size_t p) {
+            if (prefetcher_->quietReadyCycle(head(p)) > now)
+                settled_.reset(p);
+        });
+    } else if (now < next_wake_) {
+        return;
+    }
+    next_wake_ = RowPrefetcher::kUnknownCycle;
+    waiting_.forEach([&](std::size_t p) {
+        if (evicted)
+            wake_at_[p] = prefetcher_->quietReadyCycle(head(p));
+        const Cycle wake = wake_at_[p];
+        if (wake <= now || wake == RowPrefetcher::kUnknownCycle)
+            waiting_.reset(p);
+        else
+            next_wake_ = std::min(next_wake_, wake);
+    });
+}
+
+void
+MultiplierArray::checkParked()
+{
+    const Cycle now = prefetcher_->now();
+    for (unsigned p = 0; p < port_queues_->size(); ++p) {
+        if (!settled_.test(p) && !waiting_.test(p))
+            continue;
+        SPARCH_DCHECK(fetcher_->headArrived().test(p),
+                      "parked port ", p, " has no head");
+        const Cycle ready = prefetcher_->quietReadyCycle(
+            (*port_queues_)[p][port_cursor_[p]]);
+        SPARCH_DCHECK(!settled_.test(p) || ready <= now,
+                      "settled port ", p, " row not ready");
+        SPARCH_DCHECK(!waiting_.test(p) ||
+                          (ready == wake_at_[p] && ready > now),
+                      "waiting port ", p, " wait is not quiet");
+    }
+}
+
 SPARCH_HOT void
 MultiplierArray::clockUpdate()
 {
@@ -71,29 +138,56 @@ MultiplierArray::clockUpdate()
     const auto n_ports =
         static_cast<unsigned>(port_queues_->size());
     unsigned budget = config_->multipliers;
-    unsigned scanned = 0;
 
     // Round-robin over ports; each port consumes its own queue head
     // (in order within the port) when the element has arrived, its
     // right-matrix row is buffered, and the leaf FIFO has space.
-    while (budget > 0 && scanned < n_ports) {
-        const unsigned p = (rr_port_ + scanned) % n_ports;
+    //
+    // Only ports whose head has arrived can do anything, and a parked
+    // one (see settled_/waiting_) would only count a stall. The scan
+    // visits the rest in round-robin order and counts the parked ones
+    // it passes. Every other port must be visited: rowReady() is not
+    // pure (demand fetches share a per-cycle budget in visit order),
+    // so a port may be skipped only if visiting it would have had no
+    // side effect.
+    const Bitmask &arrived = fetcher_->headArrived();
+    const Bitmask &full = tree_->leafFull();
+    const auto parked_full = [&](std::size_t w) {
+        return settled_.word(w) & full.word(w);
+    };
+    const auto parked_wait = [&](std::size_t w) {
+        return waiting_.word(w);
+    };
+    const auto visit = [&](std::size_t w) {
+        return arrived.word(w) & ~parked_full(w) & ~parked_wait(w);
+    };
+    recheck();
+    if (SPARCH_DCHECK_IS_ON)
+        checkParked();
+    std::size_t off = 0;
+    while (budget > 0) {
+        const std::size_t next =
+            bitmask::cyclicNext(visit, 0, n_ports, rr_port_, off);
+        port_full_stalls_ += bitmask::cyclicCount(
+            parked_full, 0, n_ports, rr_port_, off, next);
+        row_wait_stalls_ += bitmask::cyclicCount(
+            parked_wait, 0, n_ports, rr_port_, off, next);
+        if (next == n_ports)
+            break;
+        off = next;
+        const auto p = static_cast<unsigned>((rr_port_ + off) % n_ports);
         auto &cursor = port_cursor_[p];
-        if (cursor >= (*port_queues_)[p].size()) {
-            ++scanned;
-            continue;
-        }
         const std::uint64_t pos = (*port_queues_)[p][cursor];
-        if (!fetcher_->arrivedAt(pos)) {
-            ++scanned;
-            continue; // element not fetched from DRAM yet
-        }
         const MultTask &task = (*tasks_)[pos];
         if (!prefetcher_->rowReady(pos)) {
             ++row_wait_stalls_;
-            ++scanned;
+            ++off;
+            // A demand fetch may have spilled a parked port's row.
+            recheck();
+            parkWaiting(p, pos);
             continue;
         }
+        settled_.set(p);
 
         auto b_cols = b_->rowCols(task.bRow);
         auto b_vals = b_->rowVals(task.bRow);
@@ -115,19 +209,19 @@ MultiplierArray::clockUpdate()
             --budget;
         }
         if (prod == len && !blocked) {
-            // Element fully expanded: retire it.
+            // Element fully expanded: retire it, then re-examine the
+            // same port (its next head may already be waiting).
             prod = 0;
             ++cursor;
             --remaining_;
+            settled_.reset(p);
             fetcher_->noteConsumed(p);
             prefetcher_->noteConsumed(pos);
             if (cursor == (*port_queues_)[p].size())
                 tree_->finishLeaf(p);
-            // Stay on this port only if it still has budget-free work;
-            // otherwise move on next iteration.
             continue;
         }
-        ++scanned;
+        ++off;
     }
     if (budget < config_->multipliers)
         ++active_cycles_;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitmask.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "hw/clocked.hh"
@@ -79,6 +80,41 @@ class MultiplierArray final : public hw::Clocked
     std::vector<Index> product_cursor_; //!< progress inside port heads
     unsigned rr_port_ = 0;
     std::uint64_t remaining_ = 0;
+
+    /**
+     * Parked ports: visiting them would only count a stall, so the
+     * scan counts them as it passes instead (see clockUpdate).
+     *
+     * settled_: rowReady() returned true for the head. With a full
+     * leaf FIFO the port is parked (a port-full stall). Cleared on
+     * retire.
+     *
+     * waiting_: rowReady() returned false and the prefetcher reports
+     * every call before wake_at_[p] a pure `false` (a row-wait
+     * stall). Cleared once that cycle is reached.
+     *
+     * Both hold only while the head row keeps all its lines; recheck()
+     * revisits them whenever the prefetcher's eviction count moves.
+     */
+    Bitmask settled_;
+    Bitmask waiting_;
+    std::vector<Cycle> wake_at_;
+    Cycle next_wake_ = 0; //!< earliest wake_at_ over waiting_
+    /** Prefetcher eviction count the parked sets were checked at. */
+    std::uint64_t checked_evictions_ = 0;
+
+    /** Park a port that just waited, if its wait is quiet. */
+    void parkWaiting(unsigned port, std::uint64_t pos);
+
+    /**
+     * Wake due waiters and, when the eviction count moved, drop
+     * parked ports whose row lost a line. Called at scan start and
+     * after each rowReady() that returned false.
+     */
+    void recheck();
+
+    /** DCHECK builds: every parked port is parked for a reason. */
+    void checkParked();
 
     std::uint64_t multiplies_ = 0;
     std::uint64_t row_wait_stalls_ = 0;

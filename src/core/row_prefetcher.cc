@@ -357,6 +357,31 @@ RowPrefetcher::rowReady(std::uint64_t pos)
         }
         return false;
     }
+    return now_ >= readyAt(rs);
+}
+
+Cycle
+RowPrefetcher::quietReadyCycle(std::uint64_t pos)
+{
+    const Index row = (*tasks_)[pos].bRow;
+    if (b_->rowNnz(row) == 0)
+        return 0;
+    const auto issued = [](const auto &reads, std::uint64_t at) {
+        const auto it = reads.find(at);
+        return it == reads.end() ? kUnknownCycle : it->second;
+    };
+    if (!config_->rowPrefetcher)
+        return issued(bypass_ready_, pos);
+    const Index n_lines = rowLines(row);
+    if (n_lines > config_->prefetchLines)
+        return issued(streaming_ready_, pos);
+    RowState &rs = state(row);
+    return rs.prefix_len == n_lines ? readyAt(rs) : kUnknownCycle;
+}
+
+Cycle
+RowPrefetcher::readyAt(RowState &rs)
+{
     if (!rs.ready_valid) {
         Cycle latest = 0;
         for (Index l = 0; l < rs.prefix_len; ++l)
@@ -364,7 +389,7 @@ RowPrefetcher::rowReady(std::uint64_t pos)
         rs.ready_at = latest;
         rs.ready_valid = true;
     }
-    return now_ >= rs.ready_at;
+    return rs.ready_at;
 }
 
 SPARCH_HOT void

@@ -94,6 +94,28 @@ class RowPrefetcher final : public hw::Clocked
      */
     bool rowReady(std::uint64_t pos);
 
+    /** quietReadyCycle() result when a rowReady() call could act. */
+    static constexpr Cycle kUnknownCycle = ~Cycle{0};
+
+    /**
+     * Side-effect-free query: the cycle from which rowReady(pos)
+     * returns true, provided every call until then is a pure `false`
+     * (the row's lines are all resident or in flight, or its streamed
+     * or bypass read is issued); kUnknownCycle when a call could act
+     * (issue a fetch) or the time is not known yet.
+     *
+     * The answer holds until the row loses a line. Only evictOne()
+     * spills lines, and it bumps evictions(), so a caller that
+     * remembers answers rechecks them only when that count moves.
+     */
+    Cycle quietReadyCycle(std::uint64_t pos);
+
+    /** Lines spilled so far (see quietReadyCycle). */
+    std::uint64_t evictions() const { return evictions_; }
+
+    /** Current cycle (the time rowReady() compares against). */
+    Cycle now() const { return now_; }
+
     void clockUpdate() override;
     void clockApply() override;
     void recordStats(StatSet &stats) const override;
@@ -167,6 +189,9 @@ class RowPrefetcher final : public hw::Clocked
         }
         return rs;
     }
+
+    /** Data-ready cycle of a fully resident row (memoized). */
+    static Cycle readyAt(RowState &rs);
 
     /** Number of buffer lines the given row occupies. */
     Index rowLines(Index row) const;

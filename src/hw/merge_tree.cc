@@ -27,6 +27,9 @@ MergeTree::MergeTree(const MergeTreeConfig &config, std::string name,
             nodes_.emplace_back(config_.fifoCapacity);
     }
     cursor_.assign(config_.layers, 0);
+    servable_.assign(leafCount());
+    leaf_full_.assign(leafCount());
+    eos_pending_.assign(leafCount());
     const std::string p = this->name() + ".";
     key_elements_merged_ = p + "elements_merged";
     key_additions_ = p + "additions";
@@ -60,7 +63,12 @@ MergeTree::startRound(unsigned active_leaves)
         if (i == 1)
             break;
     }
-    eos_dirty_ = true;
+    for (unsigned i = 1; i < first_leaf; ++i)
+        refreshServable(i);
+    leaf_full_.assign(leafCount());
+    // The pass above already reached the end-of-stream fixpoint.
+    eos_pending_.assign(leafCount());
+    eos_dirty_ = false;
 }
 
 void
@@ -93,6 +101,9 @@ MergeTree::serveParent(unsigned parent)
     Node &p = nodes_[parent];
     Node &left = nodes_[2 * parent];
     Node &right = nodes_[2 * parent + 1];
+    const bool was_empty = p.fifo.empty();
+    const bool left_was_full = left.fifo.full();
+    const bool right_was_full = right.fifo.full();
 
     unsigned moved = 0;
     while (moved < config_.mergerWidth && !p.fifo.full()) {
@@ -116,57 +127,111 @@ MergeTree::serveParent(unsigned parent)
         }
         ++moved;
     }
-    // A drained child with inputDone pending may have just become
-    // exhausted; let the end-of-stream sweep recompute.
-    if (left.fifo.empty() || right.fifo.empty())
-        eos_dirty_ = true;
+    // A drained child with inputDone set has just become exhausted;
+    // let the end-of-stream sweep recompute this node.
+    if (nodeExhausted(2 * parent) || nodeExhausted(2 * parent + 1))
+        markEos(parent);
+
+    // servable(n) reads n's fullness and inputDone and its children's
+    // emptiness and inputDone. Serving filled this node (it may be
+    // full now, a child may be empty), its parent sees it non-empty
+    // only if it was empty, and a child regains room only if it was
+    // full; refresh exactly those bits.
+    refreshServable(parent);
+    if (parent > 1 && was_empty)
+        refreshServable(parent / 2);
+    const unsigned first_leaf = leafCount();
+    if (2 * parent < first_leaf) {
+        if (left_was_full)
+            refreshServable(2 * parent);
+        if (right_was_full)
+            refreshServable(2 * parent + 1);
+    } else {
+        if (left_was_full)
+            leaf_full_.set(2 * parent - first_leaf, left.fifo.full());
+        if (right_was_full) {
+            leaf_full_.set(2 * parent + 1 - first_leaf,
+                           right.fifo.full());
+        }
+    }
 }
 
 SPARCH_HOT void
 MergeTree::clockUpdate()
 {
     // One shared merger per level, serving a single parent node per
-    // cycle. Levels are processed root-side first so data advances one
-    // level per cycle, like the registered pipeline in hardware.
-    for (unsigned level = 0; level < config_.layers; ++level) {
+    // cycle: the first servable parent in round-robin order from the
+    // level's cursor. Levels are processed root-side first so data
+    // advances one level per cycle, like the registered pipeline in
+    // hardware.
+    const auto servable = [this](std::size_t w) {
+        return servable_.word(w);
+    };
+    for (unsigned level = 0; servable_count_ > 0 && level < config_.layers;
+         ++level) {
         const unsigned first = 1u << level;
         const unsigned count = 1u << level;
         unsigned &cur = cursor_[level];
-        for (unsigned probe = 0; probe < count; ++probe) {
-            const unsigned parent = first + ((cur + probe) % count);
-            Node &p = nodes_[parent];
-            if (p.inputDone || p.fifo.full())
-                continue;
-            const bool left_ready =
-                !nodes_[2 * parent].fifo.empty() ||
-                nodeExhausted(2 * parent);
-            const bool right_ready =
-                !nodes_[2 * parent + 1].fifo.empty() ||
-                nodeExhausted(2 * parent + 1);
-            const bool any_data =
-                !nodes_[2 * parent].fifo.empty() ||
-                !nodes_[2 * parent + 1].fifo.empty();
-            if (left_ready && right_ready && any_data) {
-                serveParent(parent);
-                cur = (parent - first + 1) % count;
-                break;
-            }
+        const std::size_t off =
+            bitmask::cyclicNext(servable, first, count, cur, 0);
+        if (off < count) {
+            const auto parent =
+                static_cast<unsigned>(first + (cur + off) % count);
+            serveParent(parent);
+            cur = (parent - first + 1) % count;
         }
     }
 
-    // Propagate end-of-stream deepest-first (cheap control signals).
-    // Exhaustion is monotone within a round and one deepest-first pass
-    // reaches the fixpoint, so clean cycles skip the sweep entirely.
+    // Propagate end-of-stream deepest-first (cheap control signals),
+    // over the pending nodes only: a node finished here marks its
+    // parent, one level up, which the same pass then visits.
     if (eos_dirty_) {
-        for (unsigned i = (1u << config_.layers) - 1; i >= 1; --i) {
-            if (!nodes_[i].inputDone) {
-                nodes_[i].inputDone =
-                    nodeExhausted(2 * i) && nodeExhausted(2 * i + 1);
+        const auto pending = [this](std::size_t w) {
+            return eos_pending_.word(w);
+        };
+        for (unsigned level = config_.layers; level-- > 0;) {
+            const std::size_t end = 2u << level;
+            for (std::size_t i = bitmask::findNext(pending, end / 2, end);
+                 i < end; i = bitmask::findNext(pending, i + 1, end)) {
+                eos_pending_.reset(i);
+                const auto node = static_cast<unsigned>(i);
+                if (!nodes_[node].inputDone &&
+                    nodeExhausted(2 * node) &&
+                    nodeExhausted(2 * node + 1)) {
+                    nodes_[node].inputDone = true;
+                    refreshServable(node);
+                    if (node > 1) {
+                        refreshServable(node / 2);
+                        eos_pending_.set(node / 2);
+                    }
+                }
             }
-            if (i == 1)
-                break;
         }
         eos_dirty_ = false;
+    }
+    if (SPARCH_DCHECK_IS_ON)
+        checkMasks();
+}
+
+void
+MergeTree::checkMasks() const
+{
+    int count = 0;
+    for (unsigned i = 1; i < leafCount(); ++i) {
+        SPARCH_DCHECK(servable_.test(i) == servable(i),
+                      "stale servable bit for node ", i);
+        count += servable_.test(i) ? 1 : 0;
+        // The sweep left no node whose children are both exhausted.
+        SPARCH_DCHECK(nodes_[i].inputDone || !nodeExhausted(2 * i) ||
+                          !nodeExhausted(2 * i + 1),
+                      "end-of-stream not propagated to node ", i);
+    }
+    SPARCH_DCHECK(count == servable_count_, "servable count ",
+                  servable_count_, " but ", count, " bits set");
+    for (unsigned l = 0; l < leafCount(); ++l) {
+        SPARCH_DCHECK(leaf_full_.test(l) ==
+                          nodes_[leafCount() + l].fifo.full(),
+                      "stale leaf-full bit for leaf ", l);
     }
 }
 

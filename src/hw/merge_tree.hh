@@ -15,10 +15,12 @@
  *
  * Hot-path notes: the leaf/root accessors are called from the
  * multiplier and writer inner loops every cycle and live in the header
- * so they inline; node FIFOs can ring over a per-run Arena; the
- * end-of-stream propagation sweep only runs on cycles where exhaustion
- * state could have changed (it is a monotone fixpoint within a round,
- * so skipping clean cycles is exact).
+ * so they inline; node FIFOs can ring over a per-run Arena; each
+ * level's merger finds its next parent in a servable-node bitmask kept
+ * current by the events that change it, instead of probing every
+ * parent; the end-of-stream propagation sweep only runs on cycles
+ * where exhaustion state could have changed (it is a monotone fixpoint
+ * within a round, so skipping clean cycles is exact).
  */
 
 #ifndef SPARCH_HW_MERGE_TREE_HH
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/bitmask.hh"
 #include "common/logging.hh"
 #include "hw/clocked.hh"
 #include "hw/fifo.hh"
@@ -106,6 +109,12 @@ class MergeTree final : public Clocked
                       "leaf ", leaf, " fed out of order: ",
                       node.fifo.back().coord, " then ", element.coord);
         node.fifo.push(element);
+        if (node.fifo.full())
+            leaf_full_.set(leaf);
+        // Only the empty -> non-empty edge changes what the parent
+        // merger can do.
+        if (node.fifo.size() == 1)
+            refreshServable((leafCount() + leaf) / 2);
     }
 
     /** Mark a leaf's input array as fully delivered. */
@@ -114,8 +123,15 @@ class MergeTree final : public Clocked
     {
         SPARCH_DCHECK(leaf < leafCount(), "leaf index out of range");
         nodes_[leafCount() + leaf].inputDone = true;
-        eos_dirty_ = true;
+        refreshServable((leafCount() + leaf) / 2);
+        markEos((leafCount() + leaf) / 2);
     }
+
+    /**
+     * Leaf ports whose FIFO is full (bit i = leaf i). Set by pushLeaf,
+     * cleared when the bottom-level merger pops the leaf.
+     */
+    const Bitmask &leafFull() const { return leaf_full_; }
 
     /** True when the root FIFO has data to pop. */
     bool rootHasData() const { return !nodes_[1].fifo.empty(); }
@@ -138,7 +154,13 @@ class MergeTree final : public Clocked
     }
 
     /** Pop one element from the root. */
-    StreamElement popRoot() { return nodes_[1].fifo.pop(); }
+    StreamElement
+    popRoot()
+    {
+        const StreamElement e = nodes_[1].fifo.pop();
+        refreshServable(1);
+        return e;
+    }
 
     /** True when every input is exhausted and all FIFOs are empty. */
     bool done() const { return nodes_[1].inputDone && nodes_[1].fifo.empty(); }
@@ -183,12 +205,56 @@ class MergeTree final : public Clocked
         return nodes_[idx].inputDone && nodes_[idx].fifo.empty();
     }
 
+    /**
+     * The level merger can serve `parent` this cycle: it is still
+     * open and has room, each child either holds data or is
+     * exhausted, and at least one child holds data.
+     */
+    bool
+    servable(unsigned parent) const
+    {
+        const Node &p = nodes_[parent];
+        if (p.inputDone || p.fifo.full())
+            return false;
+        const Node &left = nodes_[2 * parent];
+        const Node &right = nodes_[2 * parent + 1];
+        const bool left_data = !left.fifo.empty();
+        const bool right_data = !right.fifo.empty();
+        return (left_data || left.inputDone) &&
+               (right_data || right.inputDone) &&
+               (left_data || right_data);
+    }
+
+    void
+    refreshServable(unsigned parent)
+    {
+        const bool now = servable(parent);
+        if (now != servable_.test(parent)) {
+            servable_.set(parent, now);
+            servable_count_ += now ? 1 : -1;
+        }
+    }
+
     void serveParent(unsigned parent);
     void pushCombining(Node &node, const StreamElement &element);
+
+    /** DCHECK builds: every mask bit matches the state it caches. */
+    void checkMasks() const;
 
     MergeTreeConfig config_;
     std::vector<Node> nodes_;       //!< 1-based heap layout
     std::vector<unsigned> cursor_;  //!< round-robin cursor per level
+
+    /**
+     * servable() per internal node (bit = heap index; level l holds
+     * bits [2^l, 2^(l+1))). Recomputed on every event that can change
+     * it: serveParent (the served node, its parent, its internal
+     * children), pushLeaf/finishLeaf (the leaf's parent), popRoot and
+     * the end-of-stream sweep (the finished node and its parent).
+     */
+    Bitmask servable_;
+    int servable_count_ = 0; //!< set bits in servable_
+    Bitmask leaf_full_; //!< see leafFull()
 
     std::uint64_t elements_merged_ = 0;
     std::uint64_t additions_ = 0;
@@ -197,13 +263,23 @@ class MergeTree final : public Clocked
     bool moved_this_cycle_ = false;
 
     /**
-     * Exhaustion state may have changed since the last end-of-stream
-     * propagation sweep. Within a round exhaustion is monotone
-     * (inputDone is sticky and exhausted nodes never receive pushes),
-     * and one deepest-first pass reaches the fixpoint, so sweeps on
-     * clean cycles are exact no-ops and skipped.
+     * Internal nodes a child of which became exhausted since the last
+     * end-of-stream propagation sweep: the only nodes whose inputDone
+     * can change in the next sweep. Within a round exhaustion is
+     * monotone (inputDone is sticky and exhausted nodes never receive
+     * pushes), so the deepest-first sweep over just these nodes (and
+     * the parents of nodes it finishes) reaches the same fixpoint as a
+     * sweep over every node, and clean cycles skip it entirely.
      */
-    bool eos_dirty_ = true;
+    Bitmask eos_pending_;
+    bool eos_dirty_ = false; //!< eos_pending_ is non-empty
+
+    void
+    markEos(unsigned parent)
+    {
+        eos_pending_.set(parent);
+        eos_dirty_ = true;
+    }
 
     /** Pre-composed stat keys (built once at construction). */
     std::string key_elements_merged_, key_additions_, key_cycles_,

@@ -236,12 +236,22 @@ streamEntries(const std::string &path, std::uint64_t data_offset,
     auto parse_worker = [&](unsigned id) {
         std::vector<mmscan::Entry> &raw = raws[id];
         for (;;) {
-            const auto ci = filled.pop();
-            if (!ci)
-                break;
+            // Batch slot first, then the chunk: a worker holding a
+            // chunk never waits. Holding the oldest unparsed chunk
+            // while waiting for a batch deadlocks when the other
+            // workers fill every batch with later chunks, which the
+            // in-order consumer parks in `pending` until the oldest
+            // one arrives.
             const auto bi = free_batches.pop();
             if (!bi)
                 break;
+            const auto ci = filled.pop();
+            if (!ci) {
+                // End of stream: hand the unused slot back so a worker
+                // still waiting for one reaches the end too.
+                free_batches.push(*bi);
+                break;
+            }
             const Chunk &c = chunks[*ci];
             Batch &b = batches[*bi];
             b.seq = c.seq;

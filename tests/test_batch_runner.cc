@@ -20,12 +20,14 @@
 #include "driver/workload.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
+#include "support/temp_dir.hh"
 
 namespace sparch
 {
 namespace
 {
 
+using test::tempPath;
 using driver::BatchRecord;
 using driver::BatchRunner;
 using driver::ThreadPool;
@@ -133,7 +135,7 @@ TEST(WorkloadRegistry, MatrixMarketLoadErrorSurfacesAtAddTime)
 
     // A malformed file (no Matrix Market banner) is rejected too.
     const std::string bogus =
-        ::testing::TempDir() + "/sparch_bogus_workload.mtx";
+        tempPath("sparch_bogus_workload.mtx");
     {
         std::ofstream out(bogus);
         out << "not a matrix market file\n";
@@ -143,7 +145,7 @@ TEST(WorkloadRegistry, MatrixMarketLoadErrorSurfacesAtAddTime)
 
     // A well-formed file registers and still loads lazily.
     const std::string good =
-        ::testing::TempDir() + "/sparch_good_workload.mtx";
+        tempPath("sparch_good_workload.mtx");
     {
         std::ofstream out(good);
         out << "%%MatrixMarket matrix coordinate real general\n"

@@ -37,6 +37,7 @@
 #include "exec/process_pool_executor.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
+#include "support/temp_dir.hh"
 
 #ifndef SPARCH_CLI_BINARY
 #define SPARCH_CLI_BINARY ""
@@ -47,6 +48,7 @@ namespace sparch
 namespace
 {
 
+using test::tempPath;
 using check::Schedule;
 using check::ScheduleGuard;
 using check::StressOutcome;
@@ -424,7 +426,7 @@ TEST(ProcessPoolStress, FlushDuringKillOverHundredInterleavings)
     REQUIRE_WORKER_BINARY();
     const std::string oracle = baselineCsv();
     const std::string cache_path =
-        ::testing::TempDir() + "check_flush_cache.csv";
+        tempPath("check_flush_cache.csv");
 
     // Stream records into a flushing result cache while worker 0 is
     // killed mid-sweep: the cache on disk must stay loadable and a

@@ -22,27 +22,21 @@
 #include "common/logging.hh"
 #include "driver/batch_runner.hh"
 #include "driver/workload.hh"
+#include "support/temp_dir.hh"
 
 namespace sparch
 {
 namespace
 {
 
+using test::tempPath;
 using cli::FlagSet;
 using driver::BatchRunner;
 
 std::string
-tempPath(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
-
-std::string
 writeFile(const std::string &name, const std::string &contents)
 {
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = tempPath(name);
     std::ofstream out(path);
     out << contents;
     return path;

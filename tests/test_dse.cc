@@ -20,12 +20,14 @@
 #include "dse/surrogate.hh"
 #include "dse/workload_stats.hh"
 #include "model/energy_model.hh"
+#include "support/temp_dir.hh"
 
 namespace sparch
 {
 namespace
 {
 
+using test::tempPath;
 using dse::ParetoFilter;
 using dse::ParetoPoint;
 using dse::SurrogateBatch;
@@ -62,9 +64,7 @@ TEST(WorkloadStats, HandComputedExampleExtractsExactly)
 
 TEST(WorkloadStats, CacheRoundTripsThroughTheSidecarFile)
 {
-    const std::string path =
-        testing::TempDir() + "dse_stats_cache.stats";
-    std::remove(path.c_str());
+    const std::string path = tempPath("dse_stats_cache.stats");
 
     driver::Workload w = driver::uniformWorkload(64, 64, 400, 7);
     WorkloadStats computed;
@@ -94,8 +94,7 @@ TEST(WorkloadStats, CacheRoundTripsThroughTheSidecarFile)
 
 TEST(WorkloadStats, CorruptSidecarDegradesToAMiss)
 {
-    const std::string path =
-        testing::TempDir() + "dse_stats_corrupt.stats";
+    const std::string path = tempPath("dse_stats_corrupt.stats");
     {
         std::FILE *f = std::fopen(path.c_str(), "w");
         ASSERT_NE(f, nullptr);

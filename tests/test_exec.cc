@@ -30,6 +30,7 @@
 #include "exec/local_executors.hh"
 #include "exec/process_pool_executor.hh"
 #include "matrix/generators.hh"
+#include "support/temp_dir.hh"
 
 #ifndef SPARCH_CLI_BINARY
 #define SPARCH_CLI_BINARY ""
@@ -40,6 +41,7 @@ namespace sparch
 namespace
 {
 
+using test::tempPath;
 using driver::BatchRecord;
 using driver::BatchRunner;
 using driver::ResultCache;
@@ -103,14 +105,6 @@ csvOf(const std::vector<BatchRecord> &records)
     std::ostringstream out;
     BatchRunner::writeCsv(records, out);
     return out.str();
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
 }
 
 // ------------------------------------------------ determinism contract

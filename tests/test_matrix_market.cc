@@ -13,11 +13,14 @@
 #include "driver/workload.hh"
 #include "matrix/generators.hh"
 #include "matrix/matrix_market.hh"
+#include "support/temp_dir.hh"
 
 namespace sparch
 {
 namespace
 {
+
+using test::tempPath;
 
 TEST(MatrixMarket, ParsesGeneralRealMatrix)
 {
@@ -230,7 +233,7 @@ class MatrixMarketValidator : public ::testing::Test
     std::string
     writeFile(const std::string &name, const std::string &contents)
     {
-        const std::string path = ::testing::TempDir() + name;
+        const std::string path = tempPath(name);
         std::ofstream out(path);
         out << contents;
         return path;

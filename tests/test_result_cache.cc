@@ -14,26 +14,20 @@
 #include "driver/batch_runner.hh"
 #include "driver/result_cache.hh"
 #include "driver/workload.hh"
+#include "support/temp_dir.hh"
 
 namespace sparch
 {
 namespace
 {
 
+using test::tempPath;
 using driver::BatchRecord;
 using driver::BatchRunner;
 using driver::ResultCache;
 using driver::RunStats;
 using driver::ShardPolicy;
 using driver::Workload;
-
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
 
 std::string
 csvOf(const std::vector<BatchRecord> &records)

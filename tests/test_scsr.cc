@@ -6,11 +6,16 @@
  * memory accounting the converter claims.
  */
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,17 +27,14 @@
 #include "matrix/matrix_market.hh"
 #include "matrix/scsr.hh"
 #include "matrix/scsr_convert.hh"
+#include "support/temp_dir.hh"
 
 namespace sparch
 {
 namespace
 {
 
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using test::tempPath;
 
 std::string
 writeTempFile(const std::string &name, const std::string &contents)
@@ -260,6 +262,62 @@ TEST(ScsrConvert, RejectsTruncatedAndOverlongInputs)
                      overlong, tempPath("scsr_conv_extra.scsr")),
                  FatalError);
     std::filesystem::remove(overlong);
+}
+
+// ------------------------------------------------ pipeline liveness
+
+TEST(ScsrConvert, MoreParsersThanBatchSlotsNeverDeadlocks)
+{
+    // Four parser threads over a two-slot pool of 4 KiB chunks: every
+    // conversion runs ~100 chunks through the reader -> parsers ->
+    // in-order consumer hand-offs, with parsers contending for fewer
+    // batch slots than there are parsers. A hang fails the test from
+    // a watchdog within 20 s, not after the ctest timeout.
+    ConvertOptions opts;
+    opts.buffer_bytes = 4096;
+    opts.buffers = 2;
+    opts.parser_threads = 4;
+
+    const std::string mtx = tempPath("scsr_live.mtx");
+    const std::string via_memory = tempPath("scsr_live_mem.scsr");
+    writeMatrixMarketFile(generateUniform(400, 400, 20000, 41), mtx);
+    writeScsr(readMatrixMarketFile(mtx), via_memory);
+    const std::string expected = fileBytes(via_memory);
+
+    constexpr int kRuns = 40;
+    std::atomic<int> done{0};
+    std::thread runs([&] {
+        for (int i = 0; i < kRuns; ++i) {
+            const std::string out =
+                tempPath("scsr_live_" + std::to_string(i) + ".scsr");
+            convertMatrixMarketToScsr(mtx, out, opts);
+            EXPECT_EQ(fileBytes(out), expected) << "run " << i;
+            std::filesystem::remove(out);
+            done.fetch_add(1);
+        }
+    });
+    // One healthy run takes milliseconds; 20 s without one finishing
+    // is a hang even under sanitizers.
+    constexpr auto kStall = std::chrono::seconds(20);
+    int seen = 0;
+    auto last_progress = std::chrono::steady_clock::now();
+    while (seen < kRuns) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        const auto now = std::chrono::steady_clock::now();
+        if (done.load() != seen) {
+            seen = done.load();
+            last_progress = now;
+        } else if (now - last_progress > kStall) {
+            // The hung conversion cannot be cancelled; end the
+            // process so the failure is reported now.
+            std::fprintf(stderr,
+                         "ScsrConvert deadlock: run %d of %d made no "
+                         "progress for 20 s\n",
+                         seen + 1, kRuns);
+            std::_Exit(1);
+        }
+    }
+    runs.join();
 }
 
 // -------------------------------------------- O(buffer-pool) memory

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/logging.hh"
 #include "core/sparch_simulator.hh"
 #include "matrix/generators.hh"
@@ -194,6 +196,17 @@ struct SimCase
     std::size_t line_elems;
     std::size_t lookahead;
 };
+
+/**
+ * Print a case by its name. Without this gtest dumps the raw struct
+ * bytes, a pointer and uninitialised padding, so the listed test names
+ * changed from one run to the next.
+ */
+void
+PrintTo(const SimCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SimulatorGrid : public ::testing::TestWithParam<SimCase>
 {};
