@@ -103,11 +103,12 @@ BatchRunner::simulateTask(const BatchTask &task, bool keep_products)
     record.shards = task.shards;
 
     if (task.shards > 1) {
-        // Shards run serially inside this task: the grid is already
-        // fanned across the executor, and the merged measurements are
+        // On a ThreadPoolExecutor worker the shards fork onto the
+        // sweep's own pool; inline and `procs` workers have no pool
+        // and run them serially. The merged measurements are
         // identical either way.
         const ShardedSimulator sim(task.config, task.shardPolicy,
-                                   task.shards, /*threads=*/1);
+                                   task.shards);
         record.sim = std::move(
             sim.multiply(task.workload.left(), task.workload.right())
                 .combined);

@@ -1,7 +1,7 @@
 #include "driver/sharded_simulator.hh"
 
 #include <algorithm>
-#include <future>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -239,26 +239,21 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
     }
 
     // ---- fan the row blocks out ----
+    // Join the pool this call already runs on (a sweep's worker);
+    // outside any pool, `threads` > 1 starts a private one whose
+    // workers help the calling thread.
     out.shards.resize(plan.size());
-    auto run_shard = [&](std::size_t i) {
+    const auto run_shard = [&](std::size_t i) {
         const ShardRange &r = plan.ranges()[i];
         out.shards[i] = sim.multiply(a.rowSlice(r.begin, r.end), b);
     };
-    if (threads > 1 && plan.size() > 1) {
-        ThreadPool pool(std::min<unsigned>(
-            threads, static_cast<unsigned>(plan.size())));
-        std::vector<std::future<void>> futures;
-        futures.reserve(plan.size());
-        for (std::size_t i = 0; i < plan.size(); ++i)
-            futures.push_back(pool.submit([&run_shard, i] {
-                run_shard(i);
-            }));
-        for (auto &f : futures)
-            f.get();
-    } else {
-        for (std::size_t i = 0; i < plan.size(); ++i)
-            run_shard(i);
+    ThreadPool *pool = ThreadPool::current();
+    std::optional<ThreadPool> own;
+    if (pool == nullptr && threads > 1 && plan.size() > 1) {
+        pool = &own.emplace(static_cast<unsigned>(
+            std::min<std::size_t>(threads, plan.size()) - 1));
     }
+    forkJoin(pool, plan.size(), run_shard);
 
     // ---- deterministic merge in plan order ----
     SpArchResult &c = out.combined;
@@ -310,7 +305,10 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
     c.gflops = c.seconds > 0.0
                    ? static_cast<double>(c.flops) / c.seconds / 1e9
                    : 0.0;
+    // The fleet has one memory system per shard, so its peak is K
+    // times one accelerator's.
     const double peak_bytes =
+        static_cast<double>(plan.size()) *
         static_cast<double>(config.memory.peakBytesPerCycle()) *
         static_cast<double>(c.cycles);
     c.bandwidthUtilization =

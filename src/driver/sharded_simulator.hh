@@ -7,8 +7,8 @@
  * C = A x B, computed against the full (shared, read-only) B. A
  * ShardPlan cuts A into K contiguous row ranges — balanced by row
  * count or by nonzeros — and ShardedSimulator runs one SpArchSimulator
- * multiply per range as tasks on the driver's ThreadPool, then
- * reassembles the exact product with CsrMatrix::vstack.
+ * multiply per range as a forkJoin group on the driver's ThreadPool,
+ * then reassembles the exact product with CsrMatrix::vstack.
  *
  * Merged measurements follow a documented model:
  *
@@ -26,7 +26,9 @@
  *                  shard re-emits its own row-pointer tail (one extra
  *                  entry per additional shard) and may re-read B rows
  *                  that another shard also touched, so summed MatB
- *                  traffic is >= the monolithic run's.
+ *                  traffic is >= the monolithic run's;
+ *  - utilization = summed bytes over K x one accelerator's peak x
+ *                  cycles: the fleet has one memory system per shard.
  *
  * Exactness: the stacked product always has exactly the monolithic
  * run's sparsity structure (row pointers and column indices), and a
@@ -182,8 +184,11 @@ class ShardedSimulator
      * @param policy  How to cut the left operand.
      * @param shards  Row blocks per multiply; 0 means one per
      *                hardware thread.
-     * @param threads Pool workers; <= 1 runs shards serially on the
-     *                calling thread (useful inside an outer pool).
+     * @param threads Threads for a multiply called outside any
+     *                ThreadPool; <= 1 runs shards serially on the
+     *                calling thread. A multiply called from a pool
+     *                worker (a sweep task) always spreads its shards
+     *                over that pool instead, whatever this says.
      */
     explicit ShardedSimulator(const SpArchConfig &config = SpArchConfig{},
                               ShardPolicy policy = ShardPolicy::NnzBalanced,

@@ -1,5 +1,9 @@
 #include "driver/thread_pool.hh"
 
+#include <algorithm>
+#include <exception>
+#include <limits>
+
 #include "check/schedule.hh"
 #include "common/logging.hh"
 
@@ -7,6 +11,20 @@ namespace sparch
 {
 namespace driver
 {
+
+namespace
+{
+
+/** Set for the lifetime of each worker thread to its pool. */
+thread_local ThreadPool *t_current_pool = nullptr;
+
+} // namespace
+
+ThreadPool *
+ThreadPool::current()
+{
+    return t_current_pool;
+}
 
 unsigned
 ThreadPool::hardwareThreads()
@@ -109,6 +127,7 @@ ThreadPool::runOne(unsigned self)
 void
 ThreadPool::workerLoop(unsigned self)
 {
+    t_current_pool = this;
     for (;;) {
         if (runOne(self))
             continue;
@@ -133,6 +152,88 @@ ThreadPool::waitIdle()
     // nothing)
     std::unique_lock<std::mutex> lock(sleep_mutex_);
     idle_.wait(lock, [this] { return pending_.load() == 0; });
+}
+
+namespace
+{
+
+/**
+ * One forkJoin call's shared state. Helpers hold it by shared_ptr, so
+ * a helper that starts after the join has returned still finds it.
+ */
+struct JoinGroup
+{
+    JoinGroup(std::size_t count,
+              const std::function<void(std::size_t)> &body)
+        : n(count), fn(&body)
+    {}
+
+    const std::size_t n;
+    /**
+     * Dangles once the join returns; only a successful claim calls
+     * it, and every index is claimed before the join can return.
+     */
+    const std::function<void(std::size_t)> *const fn;
+    std::atomic<std::size_t> next{0};
+
+    std::mutex mutex;
+    std::condition_variable all_done;
+    std::size_t finished = 0;
+    std::size_t error_index = std::numeric_limits<std::size_t>::max();
+    std::exception_ptr error;
+};
+
+/** Claim and run the group's next index until none is left. */
+void
+drain(JoinGroup &group)
+{
+    for (;;) {
+        SPARCH_SCHEDULE_POINT("fork_join.claim");
+        const std::size_t i = group.next.fetch_add(1);
+        if (i >= group.n)
+            return;
+        std::exception_ptr error;
+        try {
+            (*group.fn)(i);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(group.mutex);
+        if (error && i < group.error_index) {
+            group.error_index = i;
+            group.error = error;
+        }
+        if (++group.finished == group.n)
+            group.all_done.notify_all();
+    }
+}
+
+} // namespace
+
+void
+forkJoin(ThreadPool *pool, std::size_t n,
+         const std::function<void(std::size_t)> &fn)
+{
+    if (pool == nullptr || n <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+
+    const auto group = std::make_shared<JoinGroup>(n, fn);
+    const std::size_t helpers =
+        std::min<std::size_t>(n - 1, pool->threadCount());
+    for (std::size_t h = 0; h < helpers; ++h)
+        pool->submit([group] { drain(*group); });
+    drain(*group);
+
+    SPARCH_SCHEDULE_POINT("fork_join.join_wait");
+    std::unique_lock<std::mutex> lock(group->mutex);
+    group->all_done.wait(lock, [&group] {
+        return group->finished == group->n;
+    });
+    if (group->error)
+        std::rethrow_exception(group->error);
 }
 
 } // namespace driver

@@ -15,6 +15,10 @@
  * seconds each), so queue operations are mutex-guarded per worker
  * rather than lock-free: contention is unmeasurable at this grain and
  * the invariants stay obvious.
+ *
+ * A task can split itself with forkJoin() on ThreadPool::current(),
+ * the pool it is running on: a sharded grid point fans its row blocks
+ * across the sweep's own workers instead of starting a second pool.
  */
 
 #ifndef SPARCH_DRIVER_THREAD_POOL_HH
@@ -24,6 +28,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -77,6 +82,9 @@ class ThreadPool
     /** Detected hardware concurrency, never less than 1. */
     static unsigned hardwareThreads();
 
+    /** The pool whose worker runs the calling thread, else nullptr. */
+    static ThreadPool *current();
+
   private:
     using Task = std::packaged_task<void()>;
 
@@ -105,6 +113,26 @@ class ThreadPool
     std::atomic<std::size_t> next_queue_{0};
     std::atomic<bool> stop_{false};
 };
+
+/**
+ * Run fn(0) .. fn(n - 1) as one fork-join group and return once every
+ * call has finished.
+ *
+ * n - 1 helper tasks (at most one per worker) are queued on `pool`;
+ * the calling thread and the helpers claim indices in ascending
+ * order, each running the next unclaimed one. The caller then waits
+ * only for indices other workers already claimed, which are running:
+ * it never runs unrelated queued tasks, so a long neighbouring task
+ * cannot delay the join, and a group nested inside another cannot
+ * deadlock. A helper that starts after the join has returned finds
+ * nothing to claim and never touches fn.
+ *
+ * If calls throw, the exception of the lowest throwing index is
+ * rethrown here after every claimed call has finished. A null pool
+ * (or n <= 1) runs a plain serial loop on the calling thread.
+ */
+void forkJoin(ThreadPool *pool, std::size_t n,
+              const std::function<void(std::size_t)> &fn);
 
 } // namespace driver
 } // namespace sparch

@@ -50,9 +50,10 @@ ThreadPoolExecutor::run(
     const TaskFn &run_task, const RecordFn &on_record,
     std::vector<TaskFailure> &failures)
 {
-    // A pool is pointless overhead for one task (or one thread); the
-    // inline path is bit-identical anyway.
-    if (threads_ <= 1 || tasks.size() <= 1) {
+    // One thread gains nothing from a pool, and no tasks need none;
+    // the inline path is bit-identical anyway. A lone task still gets
+    // the pool: a sharded point forks its shards onto it.
+    if (threads_ <= 1 || tasks.empty()) {
         InlineExecutor serial;
         return serial.run(tasks, run_task, on_record, failures);
     }

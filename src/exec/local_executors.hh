@@ -4,11 +4,12 @@
  *
  * InlineExecutor runs every task on the calling thread in id order —
  * the reference implementation of the determinism contract, and the
- * right choice for debugging (stack traces stay in one thread) or for
- * grids of one or two points. ThreadPoolExecutor fans the tasks
- * across the repository's work-stealing driver::ThreadPool and is
- * bit-identical to InlineExecutor by construction: tasks carry their
- * own seeds and records are re-sorted by id.
+ * right choice for debugging (stack traces stay in one thread).
+ * ThreadPoolExecutor fans the tasks across the repository's
+ * work-stealing driver::ThreadPool, where a sharded task also forks
+ * its row blocks, and is bit-identical to InlineExecutor by
+ * construction: tasks carry their own seeds and records are re-sorted
+ * by id.
  */
 
 #ifndef SPARCH_EXEC_LOCAL_EXECUTORS_HH

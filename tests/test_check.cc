@@ -14,6 +14,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -472,6 +473,73 @@ TEST(ProcessPoolStress, FlushDuringKillOverHundredInterleavings)
             std::remove(cache_path.c_str());
         });
     const StressSummary summary = runner.explore(0xf1a5, 100);
+    EXPECT_EQ(summary.runs, 100u);
+    EXPECT_EQ(summary.failures, 0u)
+        << "first failing seed 0x" << std::hex
+        << summary.firstFailingSeed << ": "
+        << summary.firstFailureMessage;
+}
+
+// --------------------------------------------- fork-join stress suite
+
+/** One 4-shard point, then `plain` monolithic points. */
+void
+fillForkJoinGrid(BatchRunner &runner, unsigned plain)
+{
+    const SpArchConfig config;
+    runner.add("table-I", config, driver::rmatWorkload(128, 6, 31),
+               /*shards=*/4);
+    for (unsigned i = 0; i < plain; ++i) {
+        runner.add("table-I", config,
+                   driver::uniformWorkload(48, 48, 300, 40 + i));
+    }
+}
+
+TEST(ForkJoinStress, ShardedPointOnTheSweepPoolMatchesInline)
+{
+    // A 4-shard point forks its row blocks onto a 2-thread sweep pool
+    // beside 0-3 plain points. Whatever the interleaving, the records
+    // must be byte-identical to the inline executor's, and a join
+    // that never returns must fail the run with its seed instead of
+    // waiting out the ctest timeout.
+    constexpr unsigned kMaxPlain = 3;
+    std::vector<std::string> oracle;
+    for (unsigned plain = 0; plain <= kMaxPlain; ++plain) {
+        BatchRunner batch(1);
+        fillForkJoinGrid(batch, plain);
+        exec::InlineExecutor serial;
+        oracle.push_back(csvOf(batch.run(serial, nullptr, nullptr)));
+    }
+
+    StressRunner runner("fork-join-sweep", [&oracle](Schedule &s) {
+        const auto plain =
+            static_cast<unsigned>(s.pick(0, kMaxPlain + 1));
+        BatchRunner batch(1);
+        fillForkJoinGrid(batch, plain);
+        exec::ThreadPoolExecutor executor(2);
+        RunStats stats;
+        auto sweep = std::async(std::launch::async, [&] {
+            return csvOf(batch.run(executor, nullptr, &stats));
+        });
+        // One healthy sweep takes milliseconds; the hung join cannot
+        // be cancelled, so end the process with the reproducer.
+        if (sweep.wait_for(std::chrono::seconds(20)) !=
+            std::future_status::ready) {
+            std::fprintf(stderr,
+                         "stress fork-join-sweep: seed 0x%llx made no "
+                         "progress for 20 s\n",
+                         static_cast<unsigned long long>(s.seed()));
+            std::_Exit(1);
+        }
+        const std::string csv = sweep.get();
+        SPARCH_ASSERT(stats.failed == 0, stats.failed,
+                      " grid points failed");
+        SPARCH_ASSERT(csv == oracle[plain],
+                      "sharded sweep on the pool diverges from the "
+                      "inline oracle with ",
+                      plain, " plain points");
+    });
+    const StressSummary summary = runner.explore(0xf0c5, 100);
     EXPECT_EQ(summary.runs, 100u);
     EXPECT_EQ(summary.failures, 0u)
         << "first failing seed 0x" << std::hex

@@ -559,6 +559,23 @@ TEST(Cli, SweepShardAxisMatchesAddShardSweep)
     std::remove(csv_path.c_str());
 }
 
+TEST(Cli, SweepCheckPassesOnAShardedGrid)
+{
+    // --check holds every sharded record to the same invariants as a
+    // monolithic one, bandwidth utilization in [0, 1] included.
+    const std::string grid_path = writeFile(
+        "sparch_shards_check.grid",
+        "shards = 1 4\n[workloads]\nuniform:128x128:900\n");
+    std::string err;
+    EXPECT_EQ(runCli({"sweep", "--grid", grid_path, "--check",
+                      "--threads", "2"},
+                     nullptr, &err),
+              0)
+        << err;
+    EXPECT_NE(err.find("failed=0"), std::string::npos) << err;
+    std::remove(grid_path.c_str());
+}
+
 // ------------------------------------------- surrogate-first sweep
 
 /** Split a CSV file into its data lines (header dropped). */

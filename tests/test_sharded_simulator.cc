@@ -301,6 +301,26 @@ TEST(ShardedSimulator, ParallelRunBitIdenticalToSerial)
         EXPECT_TRUE(s.shards[i].result == p.shards[i].result);
 }
 
+TEST(ShardedSimulator, BandwidthUtilizationIsPerFleetPeak)
+{
+    // K shards have K memory systems: the merged utilization divides
+    // the summed bytes by K times one accelerator's peak, so it stays
+    // in [0, 1] however many shards overlap in time.
+    const CsrMatrix a = generateUniform(128, 128, 900, 5);
+    const SpArchResult mono = SpArchSimulator().multiply(a, a);
+    for (unsigned k : {1u, 2u, 4u, 8u}) {
+        const ShardedSimulator sharded(SpArchConfig{},
+                                       ShardPolicy::NnzBalanced, k);
+        const SpArchResult &c = sharded.multiply(a, a).combined;
+        EXPECT_GE(c.bandwidthUtilization, 0.0) << "K=" << k;
+        EXPECT_LE(c.bandwidthUtilization, 1.0) << "K=" << k;
+        if (k == 1) {
+            EXPECT_DOUBLE_EQ(c.bandwidthUtilization,
+                             mono.bandwidthUtilization);
+        }
+    }
+}
+
 TEST(ShardedSimulator, MatchesReferenceSpgemm)
 {
     const CsrMatrix a = generateBlockDiagonal(150, 15, 5.0, 0.7, 21);
