@@ -10,9 +10,7 @@
  * only — workload generation happens up front, outside the clock.
  *
  * Knobs: SPARCH_BENCH_NNZ (proxy scale, default 60000),
- * SPARCH_BENCH_REPS (repetitions, default 5; the median is reported),
- * SPARCH_VIRTUAL_KERNEL=1 (tick through the polymorphic SimKernel
- * conformance path instead of the static kernel).
+ * SPARCH_BENCH_REPS (repetitions, default 5; the median is reported).
  *
  * With SPARCH_BENCH_JSON=<path> the result is written as one
  * BENCH_simulator.json trajectory entry (schema
@@ -21,7 +19,8 @@
  * machines of different speed can still be compared ratio-to-ratio —
  * that is what lets CI regression-gate against a trajectory recorded
  * elsewhere (scripts/bench_trajectory.sh, .github/workflows/ci.yml
- * perf-smoke).
+ * perf-smoke). Its `kernel` field is always "static"; it is kept so
+ * every trajectory entry has the same shape.
  */
 
 #include <algorithm>
@@ -33,7 +32,6 @@
 
 #include "bench/bench_common.hh"
 #include "bench/json_writer.hh"
-#include "core/tick_kernel.hh"
 
 namespace
 {
@@ -65,8 +63,7 @@ main()
 
     const SpArchConfig config{};
     const SpArchSimulator sim(config);
-    const char *kernel =
-        tickKernel() == TickKernel::Virtual ? "virtual" : "static";
+    const char *kernel = "static";
 
     // One untimed warmup pass: first-touch allocations (arena growth,
     // buffer pools) belong to setup, not to the steady state this

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -85,7 +87,10 @@ FlagSet::getU64(const std::string &name, std::uint64_t fallback) const
 unsigned
 FlagSet::getUnsigned(const std::string &name, unsigned fallback) const
 {
-    return static_cast<unsigned>(getU64(name, fallback));
+    const auto it = values_.find(name);
+    if (it == values_.end())
+        return fallback;
+    return parseUnsigned(it->second, "--" + name);
 }
 
 double
@@ -109,10 +114,24 @@ parseU64(const std::string &text, const std::string &what)
     char *end = nullptr;
     const int base =
         text.rfind("0x", 0) == 0 || text.rfind("0X", 0) == 0 ? 16 : 10;
+    errno = 0;
     const std::uint64_t v = std::strtoull(text.c_str(), &end, base);
     if (end != text.c_str() + text.size())
         fatal(what, ": '", text, "' is not a number");
+    if (errno == ERANGE)
+        fatal(what, ": '", text, "' is out of range (max ",
+              std::numeric_limits<std::uint64_t>::max(), ")");
     return v;
+}
+
+unsigned
+parseUnsigned(const std::string &text, const std::string &what)
+{
+    constexpr auto kMax = std::numeric_limits<unsigned>::max();
+    const std::uint64_t v = parseU64(text, what);
+    if (v > kMax)
+        fatal(what, ": '", text, "' is out of range (max ", kMax, ")");
+    return static_cast<unsigned>(v);
 }
 
 double

@@ -49,6 +49,7 @@ class FlagSet
     std::uint64_t getU64(const std::string &name,
                          std::uint64_t fallback) const;
 
+    /** As getU64, but also throws above UINT32_MAX. */
     unsigned getUnsigned(const std::string &name,
                          unsigned fallback) const;
 
@@ -64,8 +65,14 @@ class FlagSet
     std::vector<std::string> positional_;
 };
 
-/** Parse "123" or "0x7b" into a uint64; throws FatalError on garbage. */
+/**
+ * Parse "123" or "0x7b" into a uint64; throws FatalError on garbage
+ * and on values that do not fit in 64 bits.
+ */
 std::uint64_t parseU64(const std::string &text, const std::string &what);
+
+/** As parseU64, but also throws above UINT32_MAX (no silent narrowing). */
+unsigned parseUnsigned(const std::string &text, const std::string &what);
 
 /** Parse a floating-point value; throws FatalError on garbage. */
 double parseDouble(const std::string &text, const std::string &what);

@@ -177,8 +177,7 @@ addMemoryKeys(std::vector<ConfigKey> &k, const AddFn &add)
 
 // How each memory-registry TYPE assigns a parsed CLI value.
 #define SPARCH_MEM_APPLY_U64(lvalue) lvalue = parseU64(v, n);
-#define SPARCH_MEM_APPLY_UNSIGNED(lvalue)                             \
-    lvalue = static_cast<unsigned>(parseU64(v, n));
+#define SPARCH_MEM_APPLY_UNSIGNED(lvalue) lvalue = parseUnsigned(v, n);
 
 #define SPARCH_MEM_FIELD_HBM(cli_name, type, member, key)             \
     add(#cli_name,                                                    \
@@ -290,8 +289,7 @@ configKeys()
         // addMemoryKeys() above. A registry entry naming a dead
         // member fails to compile right here.
 #define SPARCH_APPLY_U64(member) c.member = parseU64(v, n);
-#define SPARCH_APPLY_UNSIGNED(member)                                 \
-    c.member = static_cast<unsigned>(parseU64(v, n));
+#define SPARCH_APPLY_UNSIGNED(member) c.member = parseUnsigned(v, n);
 #define SPARCH_APPLY_BOOL(member) c.member = parseBool(v, n);
 #define SPARCH_APPLY_GHZ(member) c.member = parseDouble(v, n) * 1e9;
 #define SPARCH_APPLY_ENUM_ReplacementPolicy(member)                   \
@@ -607,8 +605,7 @@ parseWorkerManifest(std::istream &in, const std::string &what)
         if (!seen_ids.insert(task.id).second)
             fatal(where(), ": duplicate task id ", task.id);
         task.seed = parseU64(field("seed"), "task seed");
-        task.shards = static_cast<unsigned>(
-            parseU64(field("shards"), "task shards"));
+        task.shards = parseUnsigned(field("shards"), "task shards");
         if (task.shards == 0)
             fatal(where(), ": task shards must be >= 1");
         task.shardPolicy = parseShardPolicy(field("policy"));
@@ -738,7 +735,7 @@ parseGridSpec(std::istream &in, const std::string &what)
             if (grid.nnzScales.empty())
                 fatal(where(), ": nnz_scale needs at least one factor");
         } else if (key == "seeds") {
-            grid.seeds = static_cast<unsigned>(parseU64(value, key));
+            grid.seeds = parseUnsigned(value, key);
             if (grid.seeds == 0)
                 fatal(where(), ": seeds must be >= 1");
         } else if (key == "wseed") {
@@ -746,8 +743,7 @@ parseGridSpec(std::istream &in, const std::string &what)
         } else if (key == "seed") {
             grid.seed = parseU64(value, key);
         } else if (key == "threads") {
-            grid.threads =
-                static_cast<unsigned>(parseU64(value, key));
+            grid.threads = parseUnsigned(value, key);
         } else if (key == "policy") {
             grid.policy = parseShardPolicy(value);
         } else if (key == "shards") {
@@ -755,8 +751,7 @@ parseGridSpec(std::istream &in, const std::string &what)
             for (const std::string &piece : splitTrimmed(value, ' ')) {
                 if (piece.empty())
                     continue;
-                const auto n = static_cast<unsigned>(
-                    parseU64(piece, "shards"));
+                const unsigned n = parseUnsigned(piece, "shards");
                 if (n == 0)
                     fatal(where(), ": shard count must be >= 1");
                 grid.shards.push_back(n);

@@ -10,11 +10,11 @@ namespace sparch
 
 MataColumnFetcher::MataColumnFetcher(const SpArchConfig &config,
                                      mem::MemoryModel &mem,
-                                     std::string name)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem)
+                                     const std::string &name)
+    : config_(&config), mem_(&mem)
 {
-    key_elements_fetched_ = this->name() + ".elements_fetched";
-    key_issue_cycles_ = this->name() + ".issue_cycles";
+    key_elements_fetched_ = name + ".elements_fetched";
+    key_issue_cycles_ = name + ".issue_cycles";
 }
 
 void

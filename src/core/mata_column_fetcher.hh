@@ -22,20 +22,23 @@
 #include <vector>
 
 #include "common/bitmask.hh"
+#include "common/stats.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "mem/memory_model.hh"
-#include "hw/clocked.hh"
 
 namespace sparch
 {
 
 /** The per-column left-matrix element fetchers. */
-class MataColumnFetcher final : public hw::Clocked
+class MataColumnFetcher
 {
   public:
     MataColumnFetcher(const SpArchConfig &config,
-                      mem::MemoryModel &mem, std::string name);
+                      mem::MemoryModel &mem, const std::string &name);
+
+    MataColumnFetcher(const MataColumnFetcher &) = delete;
+    MataColumnFetcher &operator=(const MataColumnFetcher &) = delete;
 
     /**
      * Begin a merge round.
@@ -67,9 +70,9 @@ class MataColumnFetcher final : public hw::Clocked
         refreshIssuable(port);
     }
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Cycles in which at least one element read was issued. */
     std::uint64_t issueCycles() const { return issue_cycles_; }

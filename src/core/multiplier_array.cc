@@ -11,10 +11,10 @@ namespace sparch
 {
 
 MultiplierArray::MultiplierArray(const SpArchConfig &config,
-                                 std::string name)
-    : Clocked(std::move(name)), config_(&config)
+                                 const std::string &name)
+    : config_(&config)
 {
-    const std::string p = this->name() + ".";
+    const std::string p = name + ".";
     key_multiplies_ = p + "multiplies";
     key_row_wait_stalls_ = p + "row_wait_stalls";
     key_port_full_stalls_ = p + "port_full_stalls";

@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "common/bitmask.hh"
+#include "common/stats.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
-#include "hw/clocked.hh"
 #include "hw/merge_tree.hh"
 #include "matrix/csr.hh"
 
@@ -31,10 +31,13 @@ class MataColumnFetcher;
 class RowPrefetcher;
 
 /** The outer-product multiplier array. */
-class MultiplierArray final : public hw::Clocked
+class MultiplierArray
 {
   public:
-    MultiplierArray(const SpArchConfig &config, std::string name);
+    MultiplierArray(const SpArchConfig &config, const std::string &name);
+
+    MultiplierArray(const MultiplierArray &) = delete;
+    MultiplierArray &operator=(const MultiplierArray &) = delete;
 
     /** Wire the surrounding pipeline stages. */
     void connect(MataColumnFetcher *fetcher, RowPrefetcher *prefetcher,
@@ -56,9 +59,9 @@ class MultiplierArray final : public hw::Clocked
     /** All tasks consumed and all fresh ports finished. */
     bool done() const;
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Scalar multiplications performed. */
     std::uint64_t multiplies() const { return multiplies_; }

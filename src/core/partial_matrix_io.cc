@@ -9,10 +9,10 @@ namespace sparch
 
 PartialMatrixFetcher::PartialMatrixFetcher(const SpArchConfig &config,
                                            mem::MemoryModel &mem,
-                                           std::string name)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem)
+                                           const std::string &name)
+    : config_(&config), mem_(&mem)
 {
-    key_elements_streamed_ = this->name() + ".elements_streamed";
+    key_elements_streamed_ = name + ".elements_streamed";
 }
 
 void
@@ -95,10 +95,10 @@ PartialMatrixFetcher::recordStats(StatSet &stats) const
 
 PartialMatrixWriter::PartialMatrixWriter(const SpArchConfig &config,
                                          mem::MemoryModel &mem,
-                                         std::string name)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem)
+                                         const std::string &name)
+    : config_(&config), mem_(&mem)
 {
-    const std::string p = this->name() + ".";
+    const std::string p = name + ".";
     key_additions_ = p + "additions";
     key_bursts_ = p + "bursts";
     key_busy_cycles_ = p + "busy_cycles";

@@ -16,21 +16,24 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "mem/memory_model.hh"
-#include "hw/clocked.hh"
 #include "hw/merge_tree.hh"
 
 namespace sparch
 {
 
 /** Streams stored partial results into merge-tree leaves. */
-class PartialMatrixFetcher final : public hw::Clocked
+class PartialMatrixFetcher
 {
   public:
     PartialMatrixFetcher(const SpArchConfig &config,
-                         mem::MemoryModel &mem, std::string name);
+                         mem::MemoryModel &mem, const std::string &name);
+
+    PartialMatrixFetcher(const PartialMatrixFetcher &) = delete;
+    PartialMatrixFetcher &operator=(const PartialMatrixFetcher &) = delete;
 
     void connectTree(hw::MergeTree *tree) { tree_ = tree; }
 
@@ -40,9 +43,9 @@ class PartialMatrixFetcher final : public hw::Clocked
     /** All stored inputs fully delivered. */
     bool done() const;
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
   private:
     struct InputState
@@ -67,11 +70,14 @@ class PartialMatrixFetcher final : public hw::Clocked
 };
 
 /** Drains the merge-tree root and writes results to DRAM. */
-class PartialMatrixWriter final : public hw::Clocked
+class PartialMatrixWriter
 {
   public:
     PartialMatrixWriter(const SpArchConfig &config,
-                        mem::MemoryModel &mem, std::string name);
+                        mem::MemoryModel &mem, const std::string &name);
+
+    PartialMatrixWriter(const PartialMatrixWriter &) = delete;
+    PartialMatrixWriter &operator=(const PartialMatrixWriter &) = delete;
 
     void connectTree(hw::MergeTree *tree) { tree_ = tree; }
 
@@ -103,9 +109,9 @@ class PartialMatrixWriter final : public hw::Clocked
     /** Move the captured output out (end of round). */
     std::vector<StreamElement> takeCaptured();
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Same-coordinate additions performed while draining. */
     std::uint64_t additions() const { return additions_; }

@@ -10,15 +10,15 @@ namespace sparch
 {
 
 RowPrefetcher::RowPrefetcher(const SpArchConfig &config,
-                             mem::MemoryModel &mem, std::string name,
+                             mem::MemoryModel &mem, const std::string &name,
                              Arena *arena)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem),
+    : config_(&config), mem_(&mem),
       own_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
       arena_(arena == nullptr ? own_arena_.get() : arena),
       distances_(arena_),
       rank_(std::less<RankEntry>{}, ArenaAllocator<RankEntry>(*arena_))
 {
-    const std::string p = this->name() + ".";
+    const std::string p = name + ".";
     key_hits_ = p + "hits";
     key_misses_ = p + "misses";
     key_hit_rate_ = p + "hit_rate";

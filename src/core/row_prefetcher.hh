@@ -28,22 +28,23 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/stats.hh"
 #include "core/distance_list.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "mem/memory_model.hh"
-#include "hw/clocked.hh"
 #include "matrix/csr.hh"
 
 namespace sparch
 {
 
 /** The MatB row prefetcher module. */
-class RowPrefetcher final : public hw::Clocked
+class RowPrefetcher
 {
   public:
     /**
@@ -53,7 +54,10 @@ class RowPrefetcher final : public hw::Clocked
      *        a private arena.
      */
     RowPrefetcher(const SpArchConfig &config, mem::MemoryModel &mem,
-                  std::string name, Arena *arena = nullptr);
+                  const std::string &name, Arena *arena = nullptr);
+
+    RowPrefetcher(const RowPrefetcher &) = delete;
+    RowPrefetcher &operator=(const RowPrefetcher &) = delete;
 
     /**
      * Begin a merge round.
@@ -116,9 +120,9 @@ class RowPrefetcher final : public hw::Clocked
     /** Current cycle (the time rowReady() compares against). */
     Cycle now() const { return now_; }
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Line lookups that found the line resident. */
     std::uint64_t hits() const { return hits_; }

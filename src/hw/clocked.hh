@@ -1,112 +1,47 @@
 /**
  * @file
- * Two-phase clocked-module base class and simulation kernel.
+ * The two-phase clocked-module contract.
  *
  * Section III-A of the paper describes the authors' simulator: "Each
  * module is abstracted as a class with a clock update method updating
  * the internal state of this module in each cycle, and a clock apply
  * method, which simulates the flip-flops in the circuit to make sure
  * signals are updated correctly." This header reproduces exactly that
- * structure: the kernel calls clockUpdate() on every module (combinational
- * evaluation against the current registered state), then clockApply()
- * (commit of next state), then advances the cycle counter.
+ * structure: the kernel (hw/static_kernel.hh) calls clockUpdate() on
+ * every module (combinational evaluation against the current registered
+ * state), then clockApply() (commit of next state), then advances the
+ * cycle counter.
+ *
+ * The module set of the Fig. 10 pipeline is fixed at compile time, so
+ * the contract is a concept rather than a virtual base: the kernel
+ * makes direct, inlineable calls, and a module that grows a virtual
+ * member no longer satisfies it.
  */
 
 #ifndef SPARCH_HW_CLOCKED_HH
 #define SPARCH_HW_CLOCKED_HH
 
-#include <string>
-#include <vector>
+#include <type_traits>
 
-#include "common/annotations.hh"
 #include "common/stats.hh"
-#include "common/types.hh"
 
 namespace sparch
 {
 namespace hw
 {
 
-/** Base class for every clocked hardware module. */
-class Clocked
-{
-  public:
-    explicit Clocked(std::string name) : name_(std::move(name)) {}
-    virtual ~Clocked() = default;
-
-    Clocked(const Clocked &) = delete;
-    Clocked &operator=(const Clocked &) = delete;
-
-    /** Combinational phase: compute next state from current state. */
-    virtual void clockUpdate() = 0;
-
-    /** Sequential phase: commit next state (the flip-flop edge). */
-    virtual void clockApply() = 0;
-
-    /** Module instance name, used as a stats prefix. */
-    const std::string &name() const { return name_; }
-
-    /** Export this module's statistics. */
-    virtual void recordStats(StatSet &) const {}
-
-  private:
-    std::string name_;
-};
-
 /**
- * Cycle-driven simulation kernel. Modules are ticked in registration
- * order for clockUpdate (producers should register before consumers so
- * data flows one stage per cycle) and in the same order for clockApply.
+ * A clocked hardware module: clockUpdate() computes the next state
+ * from the current one, clockApply() commits it (the flip-flop edge),
+ * and recordStats() exports the module's statistics.
  */
-class SimKernel
-{
-  public:
-    /** Register a module; the kernel does not take ownership. */
-    void
-    addModule(Clocked *module)
-    {
-        modules_.push_back(module);
-    }
-
-    /** Advance one clock cycle. */
-    SPARCH_HOT void
-    tick()
-    {
-        for (Clocked *m : modules_)
-            m->clockUpdate();
-        for (Clocked *m : modules_)
-            m->clockApply();
-        ++now_;
-    }
-
-    /** Advance until the predicate is true or max_cycles elapse. */
-    template <typename DonePredicate>
-    SPARCH_HOT bool
-    run(DonePredicate &&done, Cycle max_cycles)
-    {
-        while (!done()) {
-            if (now_ >= max_cycles)
-                return false;
-            tick();
-        }
-        return true;
-    }
-
-    /** Current simulation time in cycles. */
-    Cycle now() const { return now_; }
-
-    /** Collect statistics from all modules. */
-    void
-    recordStats(StatSet &stats) const
-    {
-        for (const Clocked *m : modules_)
-            m->recordStats(stats);
-    }
-
-  private:
-    std::vector<Clocked *> modules_;
-    Cycle now_ = 0;
-};
+template <typename M>
+concept Clocked = !std::is_polymorphic_v<M> &&
+                  requires(M &m, const M &cm, StatSet &stats) {
+                      m.clockUpdate();
+                      m.clockApply();
+                      cm.recordStats(stats);
+                  };
 
 } // namespace hw
 } // namespace sparch

@@ -10,9 +10,9 @@ namespace sparch
 namespace hw
 {
 
-MergeTree::MergeTree(const MergeTreeConfig &config, std::string name,
+MergeTree::MergeTree(const MergeTreeConfig &config, const std::string &name,
                      Arena *arena)
-    : Clocked(std::move(name)), config_(config)
+    : config_(config)
 {
     SPARCH_ASSERT(config_.layers >= 1 && config_.layers <= 16,
                   "merge tree layers out of range: ", config_.layers);
@@ -30,7 +30,7 @@ MergeTree::MergeTree(const MergeTreeConfig &config, std::string name,
     servable_.assign(leafCount());
     leaf_full_.assign(leafCount());
     eos_pending_.assign(leafCount());
-    const std::string p = this->name() + ".";
+    const std::string p = name + ".";
     key_elements_merged_ = p + "elements_merged";
     key_additions_ = p + "additions";
     key_cycles_ = p + "cycles";

@@ -33,7 +33,8 @@
 #include "common/arena.hh"
 #include "common/bitmask.hh"
 #include "common/logging.hh"
-#include "hw/clocked.hh"
+#include "common/stats.hh"
+#include "common/types.hh"
 #include "hw/fifo.hh"
 
 namespace sparch
@@ -66,15 +67,18 @@ struct MergeTreeConfig
  * startRound(); producers push into leaf ports, the consumer pops the
  * root.
  */
-class MergeTree final : public Clocked
+class MergeTree
 {
   public:
     /**
      * @param arena When non-null, node FIFO storage is placed on this
      *        (outliving) per-run arena instead of the heap.
      */
-    MergeTree(const MergeTreeConfig &config, std::string name,
+    MergeTree(const MergeTreeConfig &config, const std::string &name,
               Arena *arena = nullptr);
+
+    MergeTree(const MergeTree &) = delete;
+    MergeTree &operator=(const MergeTree &) = delete;
 
     unsigned leafCount() const { return 1u << config_.layers; }
     const MergeTreeConfig &config() const { return config_; }
@@ -165,9 +169,9 @@ class MergeTree final : public Clocked
     /** True when every input is exhausted and all FIFOs are empty. */
     bool done() const { return nodes_[1].inputDone && nodes_[1].fifo.empty(); }
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Elements that crossed any level merger (switching activity). */
     std::uint64_t elementsMerged() const { return elements_merged_; }

@@ -1,16 +1,12 @@
 /**
  * @file
- * Statically-typed tick kernel.
+ * The simulation kernel.
  *
  * The Fig. 10 pipeline is a fixed set of modules, so the per-cycle
- * dispatch does not need the polymorphic SimKernel: this kernel holds
- * the concrete module types in a tuple and unrolls both clock phases
- * into direct calls at compile time (the module classes are `final`,
- * so the compiler devirtualizes and can inline clockUpdate/clockApply
- * into the tick loop). The virtual SimKernel (hw/clocked.hh) remains
- * as the debug/conformance path; tests assert both produce
- * bit-identical results (SPARCH_VIRTUAL_KERNEL=1 selects it at run
- * time, see core/tick_kernel.hh).
+ * dispatch needs no indirection: this kernel holds the concrete module
+ * types in a tuple and unrolls both clock phases into direct calls at
+ * compile time, which the compiler can inline into the tick loop.
+ * Every module type must satisfy hw::Clocked (hw/clocked.hh).
  */
 
 #ifndef SPARCH_HW_STATIC_KERNEL_HH
@@ -21,6 +17,7 @@
 #include "common/annotations.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "hw/clocked.hh"
 
 namespace sparch
 {
@@ -28,11 +25,12 @@ namespace hw
 {
 
 /**
- * Compile-time-unrolled simulation kernel over a fixed module set.
- * Semantics match SimKernel exactly: clockUpdate on every module in
- * order, then clockApply in the same order, then advance the cycle.
+ * Compile-time-unrolled simulation kernel over a fixed module set:
+ * clockUpdate on every module in order (producers before consumers, so
+ * data flows one stage per cycle), then clockApply in the same order,
+ * then advance the cycle.
  */
-template <typename... Modules>
+template <Clocked... Modules>
 class StaticKernel
 {
   public:

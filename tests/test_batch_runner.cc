@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -20,14 +19,14 @@
 #include "driver/workload.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
-#include "support/temp_dir.hh"
+#include "support/files.hh"
 
 namespace sparch
 {
 namespace
 {
 
-using test::tempPath;
+using test::writeFile;
 using driver::BatchRecord;
 using driver::BatchRunner;
 using driver::ThreadPool;
@@ -134,25 +133,18 @@ TEST(WorkloadRegistry, MatrixMarketLoadErrorSurfacesAtAddTime)
     EXPECT_EQ(registry.size(), 0u);
 
     // A malformed file (no Matrix Market banner) is rejected too.
-    const std::string bogus =
-        tempPath("sparch_bogus_workload.mtx");
-    {
-        std::ofstream out(bogus);
-        out << "not a matrix market file\n";
-    }
+    const std::string bogus = writeFile("sparch_bogus_workload.mtx",
+                                        "not a matrix market file\n");
     EXPECT_THROW(registry.add(driver::matrixMarketWorkload(bogus)),
                  FatalError);
 
     // A well-formed file registers and still loads lazily.
     const std::string good =
-        tempPath("sparch_good_workload.mtx");
-    {
-        std::ofstream out(good);
-        out << "%%MatrixMarket matrix coordinate real general\n"
-            << "2 2 2\n"
-            << "1 1 1.5\n"
-            << "2 2 2.5\n";
-    }
+        writeFile("sparch_good_workload.mtx",
+                  "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 2\n"
+                  "1 1 1.5\n"
+                  "2 2 2.5\n");
     const Workload w = registry.add(driver::matrixMarketWorkload(good));
     EXPECT_EQ(registry.size(), 1u);
     EXPECT_EQ(w.left().nnz(), 2u);

@@ -38,6 +38,7 @@
 #include "exec/process_pool_executor.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
+#include "support/files.hh"
 #include "support/temp_dir.hh"
 
 #ifndef SPARCH_CLI_BINARY
@@ -49,6 +50,7 @@ namespace sparch
 namespace
 {
 
+using test::csvOf;
 using test::tempPath;
 using check::Schedule;
 using check::ScheduleGuard;
@@ -358,14 +360,6 @@ fillStressGrid(BatchRunner &runner)
         driver::dnnLayerWorkload(32, 16, 0.1, 23),
     };
     runner.addShardSweep(configs, workloads, {1, 2});
-}
-
-std::string
-csvOf(const std::vector<BatchRecord> &records)
-{
-    std::ostringstream out;
-    BatchRunner::writeCsv(records, out);
-    return out.str();
 }
 
 /** The grid's records simulated serially in-process: the oracle. */

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -22,6 +21,7 @@
 #include "common/logging.hh"
 #include "driver/batch_runner.hh"
 #include "driver/workload.hh"
+#include "support/files.hh"
 #include "support/temp_dir.hh"
 
 namespace sparch
@@ -29,27 +29,11 @@ namespace sparch
 namespace
 {
 
+using test::fileBytes;
 using test::tempPath;
+using test::writeFile;
 using cli::FlagSet;
 using driver::BatchRunner;
-
-std::string
-writeFile(const std::string &name, const std::string &contents)
-{
-    const std::string path = tempPath(name);
-    std::ofstream out(path);
-    out << contents;
-    return path;
-}
-
-std::string
-fileContents(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 int
 runCli(const std::vector<std::string> &args, std::string *out_text = nullptr,
@@ -93,6 +77,28 @@ TEST(CliFlags, RejectsUnknownFlagAndMissingValue)
     EXPECT_THROW(FlagSet({"--threads", "abc"}, {"threads"}, {})
                      .getU64("threads", 0),
                  FatalError);
+    // A count above UINT32_MAX must not narrow: 2^32 would read as 0
+    // ("all cores") and 2^32 + 1 as 1.
+    for (const char *big :
+         {"4294967296", "4294967297", "99999999999999999999"}) {
+        EXPECT_THROW(FlagSet({"--threads", big}, {"threads"}, {})
+                         .getUnsigned("threads", 0),
+                     FatalError)
+            << big;
+    }
+    EXPECT_EQ(FlagSet({"--procs", "4294967295"}, {"procs"}, {})
+                  .getUnsigned("procs", 0),
+              4294967295u);
+    try {
+        FlagSet({"--procs", "4294967296"}, {"procs"}, {})
+            .getUnsigned("procs", 0);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("--procs"),
+                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("4294967296"),
+                  std::string::npos);
+    }
 }
 
 TEST(CliFlags, RejectsNegativeNumbers)
@@ -103,6 +109,15 @@ TEST(CliFlags, RejectsNegativeNumbers)
     EXPECT_THROW(cli::parseU64("+3", "seed"), FatalError);
     EXPECT_THROW(cli::parseU64(" 5", "seed"), FatalError);
     EXPECT_EQ(cli::parseU64("5", "seed"), 5u);
+    // Nor may a value past 2^64 - 1 saturate silently.
+    EXPECT_THROW(cli::parseU64("99999999999999999999", "seed"),
+                 FatalError);
+    EXPECT_THROW(cli::parseU64("18446744073709551616", "seed"),
+                 FatalError);
+    EXPECT_THROW(cli::parseU64("0x10000000000000000", "seed"),
+                 FatalError);
+    EXPECT_EQ(cli::parseU64("18446744073709551615", "seed"),
+              18446744073709551615ull);
 }
 
 // ------------------------------------------------------ config specs
@@ -365,6 +380,15 @@ TEST(CliGridSpec, RejectsMalformedInput)
                  FatalError);
     EXPECT_THROW(parse("seeds = 0\n[workloads]\nuniform:4x4:4\n"),
                  FatalError);
+    // Counts above UINT32_MAX are rejected, not narrowed.
+    for (const char *setting :
+         {"threads = 4294967297", "seeds = 4294967297",
+          "shards = 1 4294967297", "threads = 99999999999999999999"}) {
+        EXPECT_THROW(parse(std::string(setting) +
+                           "\n[workloads]\nuniform:4x4:4\n"),
+                     FatalError)
+            << setting;
+    }
     EXPECT_THROW(parse("[config c\n[workloads]\nuniform:4x4:4\n"),
                  FatalError);
 }
@@ -485,7 +509,7 @@ TEST(Cli, Fig12SweepIsBitIdenticalAndCaches)
                      nullptr, &err),
               0);
     EXPECT_NE(err.find("simulated=20"), std::string::npos) << err;
-    EXPECT_EQ(fileContents(csv_path), bench_csv.str());
+    EXPECT_EQ(fileBytes(csv_path), bench_csv.str());
 
     // Second run of the same sweep: zero new simulations, same bytes.
     const std::string csv2_path = tempPath("sparch_fig12_cli2.csv");
@@ -495,7 +519,7 @@ TEST(Cli, Fig12SweepIsBitIdenticalAndCaches)
               0);
     EXPECT_NE(err.find("simulated=0"), std::string::npos) << err;
     EXPECT_NE(err.find("cache-hits=20"), std::string::npos) << err;
-    EXPECT_EQ(fileContents(csv2_path), bench_csv.str());
+    EXPECT_EQ(fileBytes(csv2_path), bench_csv.str());
 
     std::remove(grid_path.c_str());
     std::remove(csv_path.c_str());
@@ -551,7 +575,7 @@ TEST(Cli, SweepShardAxisMatchesAddShardSweep)
                       "--threads", "2"},
                      nullptr, &err),
               0);
-    const std::string csv = fileContents(csv_path);
+    const std::string csv = fileBytes(csv_path);
     EXPECT_NE(err.find("simulated=2"), std::string::npos);
     // One monolithic and one 2-shard record of the same workload.
     EXPECT_NE(csv.find(",uniform-128x128-900,"), std::string::npos);
@@ -582,7 +606,7 @@ TEST(Cli, SweepCheckPassesOnAShardedGrid)
 std::vector<std::string>
 csvDataLines(const std::string &path)
 {
-    std::istringstream in(fileContents(path));
+    std::istringstream in(fileBytes(path));
     std::vector<std::string> lines;
     std::string line;
     bool first = true;
@@ -697,10 +721,10 @@ TEST(Cli, SurrogateRankingIsDeterministicAndSeedIndependent)
                       "--threads", "2", "--surrogate"}),
               0);
     // Identical spec: identical bytes, even across thread counts.
-    EXPECT_EQ(fileContents(csv_a), fileContents(csv_a2));
+    EXPECT_EQ(fileBytes(csv_a), fileBytes(csv_a2));
     // Different base seed: different record seeds, same survivors.
     EXPECT_EQ(survivor_ids(csv_a), survivor_ids(csv_b));
-    EXPECT_NE(fileContents(csv_a), fileContents(csv_b));
+    EXPECT_NE(fileBytes(csv_a), fileBytes(csv_b));
 
     std::remove(grid_a.c_str());
     std::remove(grid_b.c_str());
@@ -900,8 +924,8 @@ TEST(Cli, SweepExecBackendsEmitIdenticalCsv)
                       "3"},
                      nullptr, &err),
               0);
-    EXPECT_EQ(fileContents(inline_csv), fileContents(threads_csv));
-    EXPECT_NE(fileContents(inline_csv).find("wiki-Vote"),
+    EXPECT_EQ(fileBytes(inline_csv), fileBytes(threads_csv));
+    EXPECT_NE(fileBytes(inline_csv).find("wiki-Vote"),
               std::string::npos);
 
     // Unknown backends are rejected with the valid set named.

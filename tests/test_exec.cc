@@ -30,6 +30,7 @@
 #include "exec/local_executors.hh"
 #include "exec/process_pool_executor.hh"
 #include "matrix/generators.hh"
+#include "support/files.hh"
 #include "support/temp_dir.hh"
 
 #ifndef SPARCH_CLI_BINARY
@@ -41,6 +42,7 @@ namespace sparch
 namespace
 {
 
+using test::csvOf;
 using test::tempPath;
 using driver::BatchRecord;
 using driver::BatchRunner;
@@ -97,14 +99,6 @@ fillGrid(BatchRunner &runner)
         driver::suiteWorkload("scircuit", 2500, 14),
     };
     runner.addShardSweep(configs, workloads, {1, 2});
-}
-
-std::string
-csvOf(const std::vector<BatchRecord> &records)
-{
-    std::ostringstream out;
-    BatchRunner::writeCsv(records, out);
-    return out.str();
 }
 
 // ------------------------------------------------ determinism contract

@@ -4,7 +4,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -13,6 +12,7 @@
 #include "driver/workload.hh"
 #include "matrix/generators.hh"
 #include "matrix/matrix_market.hh"
+#include "support/files.hh"
 #include "support/temp_dir.hh"
 
 namespace sparch
@@ -21,6 +21,7 @@ namespace
 {
 
 using test::tempPath;
+using test::writeFile;
 
 TEST(MatrixMarket, ParsesGeneralRealMatrix)
 {
@@ -227,20 +228,7 @@ TEST(MatrixMarket, HeaderParserReportsDeclaredShape)
 // The workload validator and the reader share one header parser, so
 // registration must reject exactly what a later read would reject —
 // `array` format and `complex` field used to slip through.
-class MatrixMarketValidator : public ::testing::Test
-{
-  protected:
-    std::string
-    writeFile(const std::string &name, const std::string &contents)
-    {
-        const std::string path = tempPath(name);
-        std::ofstream out(path);
-        out << contents;
-        return path;
-    }
-};
-
-TEST_F(MatrixMarketValidator, RejectsArrayFormatAtRegistration)
+TEST(MatrixMarketValidator, RejectsArrayFormatAtRegistration)
 {
     const std::string path = writeFile(
         "sparch_mm_array.mtx",
@@ -251,7 +239,7 @@ TEST_F(MatrixMarketValidator, RejectsArrayFormatAtRegistration)
     std::remove(path.c_str());
 }
 
-TEST_F(MatrixMarketValidator, RejectsComplexFieldAtRegistration)
+TEST(MatrixMarketValidator, RejectsComplexFieldAtRegistration)
 {
     const std::string path = writeFile(
         "sparch_mm_complex.mtx",
@@ -263,7 +251,7 @@ TEST_F(MatrixMarketValidator, RejectsComplexFieldAtRegistration)
     std::remove(path.c_str());
 }
 
-TEST_F(MatrixMarketValidator, RejectsOversizedDimensionsAtRegistration)
+TEST(MatrixMarketValidator, RejectsOversizedDimensionsAtRegistration)
 {
     const std::string path = writeFile(
         "sparch_mm_huge.mtx",
@@ -275,7 +263,7 @@ TEST_F(MatrixMarketValidator, RejectsOversizedDimensionsAtRegistration)
     std::remove(path.c_str());
 }
 
-TEST_F(MatrixMarketValidator, AcceptsWhatTheReaderAccepts)
+TEST(MatrixMarketValidator, AcceptsWhatTheReaderAccepts)
 {
     const std::string path = writeFile(
         "sparch_mm_good.mtx",

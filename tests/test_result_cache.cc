@@ -14,6 +14,7 @@
 #include "driver/batch_runner.hh"
 #include "driver/result_cache.hh"
 #include "driver/workload.hh"
+#include "support/files.hh"
 #include "support/temp_dir.hh"
 
 namespace sparch
@@ -21,30 +22,16 @@ namespace sparch
 namespace
 {
 
+using test::csvOf;
+using test::fileBytes;
 using test::tempPath;
+using test::writeFile;
 using driver::BatchRecord;
 using driver::BatchRunner;
 using driver::ResultCache;
 using driver::RunStats;
 using driver::ShardPolicy;
 using driver::Workload;
-
-std::string
-csvOf(const std::vector<BatchRecord> &records)
-{
-    std::ostringstream out;
-    BatchRunner::writeCsv(records, out);
-    return out.str();
-}
-
-std::string
-fileContents(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 /** A small grid: 2 configs x 2 workloads. */
 BatchRunner
@@ -327,11 +314,8 @@ TEST(ResultCache, CorruptLinesAreSkippedNotFatal)
 
 TEST(ResultCache, UnrecognizedHeaderIgnoresFile)
 {
-    const std::string path = tempPath("sparch_cache_badheader.csv");
-    {
-        std::ofstream out(path);
-        out << "some,other,schema\n1,2,3\n";
-    }
+    const std::string path = writeFile("sparch_cache_badheader.csv",
+                                       "some,other,schema\n1,2,3\n");
     ResultCache cache(path);
     EXPECT_EQ(cache.size(), 0u);
     std::remove(path.c_str());
@@ -366,9 +350,9 @@ TEST(ResultCache, SaveIsAtomicEnoughToReload)
     ResultCache cache(path);
     runner.run(&cache, nullptr);
     cache.save();
-    const std::string first = fileContents(path);
+    const std::string first = fileBytes(path);
     cache.save(); // clean, must not touch the file
-    EXPECT_EQ(fileContents(path), first);
+    EXPECT_EQ(fileBytes(path), first);
     std::remove(path.c_str());
 }
 

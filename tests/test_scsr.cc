@@ -27,6 +27,7 @@
 #include "matrix/matrix_market.hh"
 #include "matrix/scsr.hh"
 #include "matrix/scsr_convert.hh"
+#include "support/files.hh"
 #include "support/temp_dir.hh"
 
 namespace sparch
@@ -34,26 +35,9 @@ namespace sparch
 namespace
 {
 
+using test::fileBytes;
 using test::tempPath;
-
-std::string
-writeTempFile(const std::string &name, const std::string &contents)
-{
-    const std::string path = tempPath(name);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << contents;
-    return path;
-}
-
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(static_cast<bool>(in)) << "cannot open " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
+using test::writeFile;
 
 /** Exact (bit-level) CSR equality; almostEqual is too forgiving here. */
 void
@@ -177,7 +161,7 @@ void
 expectConverterMatchesReader(const std::string &name,
                              const std::string &mtx_text)
 {
-    const std::string mtx = writeTempFile(name + ".mtx", mtx_text);
+    const std::string mtx = writeFile(name + ".mtx", mtx_text);
     const std::string via_memory = tempPath(name + "_mem.scsr");
     const std::string via_stream = tempPath(name + "_stream.scsr");
     writeScsr(readMatrixMarketFile(mtx), via_memory);
@@ -242,7 +226,7 @@ TEST(ScsrConvert, LoadedMatrixMatchesDirectRead)
 
 TEST(ScsrConvert, RejectsTruncatedAndOverlongInputs)
 {
-    const std::string truncated = writeTempFile(
+    const std::string truncated = writeFile(
         "scsr_conv_trunc.mtx",
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 3\n"
@@ -252,7 +236,7 @@ TEST(ScsrConvert, RejectsTruncatedAndOverlongInputs)
                  FatalError);
     std::filesystem::remove(truncated);
 
-    const std::string overlong = writeTempFile(
+    const std::string overlong = writeFile(
         "scsr_conv_extra.mtx",
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 1\n"
@@ -547,7 +531,7 @@ TEST(ScsrWorkload, MtxIdentityTracksContentNotSizeOrMtime)
 {
     // Two same-length files: size+mtime identity could not tell them
     // apart, the content hash must.
-    const std::string path = writeTempFile(
+    const std::string path = writeFile(
         "scsr_wl_mtx.mtx",
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 1\n"
@@ -557,7 +541,7 @@ TEST(ScsrWorkload, MtxIdentityTracksContentNotSizeOrMtime)
     EXPECT_NE(before.find("mtx:"), std::string::npos);
     EXPECT_NE(before.find("|fnv="), std::string::npos);
 
-    writeTempFile("scsr_wl_mtx.mtx",
+    writeFile("scsr_wl_mtx.mtx",
                   "%%MatrixMarket matrix coordinate real general\n"
                   "2 2 1\n"
                   "1 1 2.0\n");
